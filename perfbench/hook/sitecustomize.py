@@ -66,11 +66,11 @@ def _install(trace_dir):
             counters={"lab.store.hits": 0, "lab.store.misses": 0},
             start=time.perf_counter(), start_unix=time.time(),
             forked_under=forked_under, dumped=False,
-            predecode_base=_predecode_stats(),
+            predecode_base=predecode_stats(),
         )
         local.__dict__.clear()
 
-    def _predecode_stats():
+    def predecode_stats():
         module = sys.modules.get("repro.sim.predecode")
         return dict(module.stats()) if module is not None else {}
 
@@ -180,7 +180,7 @@ def _install(trace_dir):
         if state["dumped"]:
             return
         state["dumped"] = True
-        predecode = _predecode_stats()
+        predecode = predecode_stats()
         base = state["predecode_base"]
         counters = dict(state["counters"])
         for key in ("decode_seconds", "iss_seconds"):

@@ -32,6 +32,7 @@ import pathlib
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -889,6 +890,10 @@ def main(argv=None):
         print(f"error: not a checkout of the program: missing "
               f"{', '.join(missing)}", file=sys.stderr)
         return 2
+    # a terminated run still stops every process it started: SystemExit
+    # unwinds through the ``finally`` blocks that shut them down
+    signal.signal(signal.SIGTERM,
+                  lambda signum, frame: sys.exit(128 + signum))
     try:
         return run(args.workload, args.seed, args.seconds, args.trace)
     except BenchError as error:
