@@ -13,7 +13,9 @@ fingerprint hit.
 - :mod:`repro.serve.jobs` — job records, the registry, frame-cache
   naming and per-tenant budget accounting;
 - :mod:`repro.serve.pool` — the per-job worker processes (event
-  streaming over a pipe; spawn-based, safe in a threaded server);
+  streaming over a pipe), each forked from a single-threaded forkserver
+  that has already imported the job stack, so forking is safe in the
+  threaded server and a job does not pay the import;
 - :mod:`repro.serve.server` — the asyncio HTTP server
   (``repro serve``);
 - :mod:`repro.serve.client` — the stdlib client (``repro submit``).

@@ -340,6 +340,13 @@ class JobRegistry:
 
     # -- queries -------------------------------------------------------------
 
+    def events_since(self, job, cursor):
+        """``(events[cursor:], terminal)`` of ``job``, read together
+        under the lock: when ``terminal`` is true the list already
+        holds the terminal event."""
+        with self._lock:
+            return job.events[cursor:], job.terminal
+
     def get(self, job_id):
         with self._lock:
             return self._jobs.get(job_id)

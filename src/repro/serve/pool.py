@@ -1,12 +1,21 @@
 """Per-job worker processes for the sweep service.
 
-Each admitted job runs in its own *process* (spawn start method — safe
-to launch from a threaded asyncio server, no forked locks), streaming
-typed events back to the server over a ``multiprocessing.Pipe``::
+Each admitted job runs in its own *process*, forked from a
+``multiprocessing`` forkserver, streaming typed events back to the
+server over a ``multiprocessing.Pipe``::
 
     ("progress", done, total)
     ("done", frame_dict, meta)        # meta: simulations, spans, ...
     ("error", "ValueError: ...")
+
+The forkserver is a fresh interpreter the server launches (fork + exec)
+when it starts.  It imports :data:`PRELOAD` once — everything a sweep or
+evaluate job imports, numpy included — and then forks one worker per
+job, so a worker starts with the stack already loaded instead of paying
+the import each time.  Forking from it is safe although the server is
+threaded: the forkserver itself is single-threaded, so a worker never
+inherits a lock some other thread held.  Every job still gets its own
+fresh process, so a crash or leak stays with one job.
 
 Inside the worker the job is exactly one :class:`repro.api.Session`
 call — ``serve`` really is a thin layer over the Session facade:
@@ -28,17 +37,78 @@ this safe.
 
 The pool itself (:class:`JobWorkerPool`) bounds concurrent worker
 processes with a semaphore; one daemon watcher thread per job relays
-pipe events to the server via its callback.
+pipe events to the server via its callback.  Its :meth:`shutdown`
+stops the forkserver and reaps it, so no process outlives the server
+and the workers (the forkserver's children) stay in the server's
+process tree for resource accounting.
 """
 
 import multiprocessing
+import os
+import signal
+import sys
 import threading
+from multiprocessing import forkserver
 
-__all__ = ["JobWorkerPool", "execute_job", "job_payload"]
+from repro.workloads.kernels import KERNEL_MODULES
 
-#: Spawned workers re-import the stack instead of forking the threaded
-#: server process (fork + threads risks inheriting held locks).
-_MP = multiprocessing.get_context("spawn")
+__all__ = [
+    "PRELOAD",
+    "JobWorkerPool",
+    "execute_job",
+    "forkserver_pid",
+    "job_payload",
+    "start_forkserver",
+    "stop_forkserver",
+]
+
+#: Workers are forked from a preloaded, single-threaded forkserver —
+#: never from the threaded server process itself (fork + threads risks
+#: inheriting held locks).
+_MP = multiprocessing.get_context("forkserver")
+
+#: Modules the forkserver imports before it forks any worker: the
+#: ``sys.modules`` difference a job of any kind makes, on a cold store
+#: too (``tests/test_serve.py`` guards it for a sweep).  ``repro.cli``
+#: and ``__main__`` stay out: a job needs neither.
+PRELOAD = (
+    "repro.serve.pool",
+    "repro.core",
+    "repro.sim.lockstep",
+    "repro.sim.vector",
+    "repro.stream",
+    *KERNEL_MODULES,
+    "numpy.ma",
+    "numpy.random",
+)
+
+
+def start_forkserver():
+    """Launch the preloaded forkserver (a no-op while one runs).
+
+    Returns at once: the forkserver imports :data:`PRELOAD` while the
+    caller carries on, and the first worker start waits for it.  The
+    forkserver finds ``repro`` on the path the environment gives it
+    (``PYTHONPATH`` or an installed package); a module it cannot import
+    is skipped and imported by each worker instead.
+    """
+    _MP.set_forkserver_preload(list(PRELOAD))
+    forkserver.ensure_running()
+
+
+def forkserver_pid():
+    """Pid of this process's forkserver (``None`` when not running)."""
+    # the stdlib keeps the pid (and the stop below) private
+    return forkserver._forkserver._forkserver_pid
+
+
+def stop_forkserver():
+    """Stop the forkserver and reap it (``waitpid``).
+
+    It exits once every process forked from it has exited, so stop the
+    workers first.
+    """
+    forkserver._forkserver._stop()
 
 
 def job_payload(job, config):
@@ -187,12 +257,16 @@ def _job_main(conn, payload):
     an exception past the pipe."""
     from repro.obs import trace as obs_trace
 
-    if payload.get("telemetry"):
-        import os
-
-        obs_trace.set_tracer(
-            obs_trace.Tracer(label=f"serve-worker-{os.getpid()}")
-        )
+    # lead a process group of its own, so shutdown also ends what the
+    # job starts (a sweep's shard pool)
+    os.setpgid(0, 0)
+    preloaded = set(sys.modules)
+    # a fresh tracer (or none), so no span recorded before the fork
+    # can reach the server's timeline
+    obs_trace.set_tracer(
+        obs_trace.Tracer(label=f"serve-worker-{os.getpid()}")
+        if payload.get("telemetry") else None
+    )
     try:
         frame, meta = execute_job(
             payload,
@@ -201,6 +275,8 @@ def _job_main(conn, payload):
             ),
             on_window=lambda info: conn.send(("window", info)),
         )
+        # modules the job imported that the forkserver had not
+        meta["imported"] = sorted(set(sys.modules) - preloaded)
         tracer = obs_trace.get_tracer()
         if tracer is not None:
             meta["spans"] = tracer.drain()
@@ -236,6 +312,10 @@ class JobWorkerPool:
         self._running = {}                    # job id -> Process
         self._closed = False
 
+    def start(self):
+        """Launch the preloaded forkserver; returns at once."""
+        start_forkserver()
+
     def submit(self, job, payload):
         """Queue ``job`` for execution; returns immediately.  Events
         arrive on the ``on_event`` callback from a watcher thread."""
@@ -247,19 +327,16 @@ class JobWorkerPool:
 
     def _drive(self, job, payload):
         with self._slots:
-            if self._closed:
-                self.on_event(job, ("error", "server shutting down"))
+            try:
+                process, parent_conn = self._start(job, payload)
+                reason = "server shutting down"
+            except Exception as error:   # noqa: BLE001 — fail the job
+                # e.g. a forkserver that died while importing PRELOAD
+                process, reason = None, f"worker failed to start: {error!r}"
+            if process is None:
+                self.on_event(job, ("error", reason))
                 self.on_event(job, ("exit", -1))
                 return
-            parent_conn, child_conn = _MP.Pipe(duplex=False)
-            process = _MP.Process(
-                target=_job_main, args=(child_conn, payload),
-                name=f"serve-{job.id}",
-            )
-            process.start()
-            child_conn.close()
-            with self._lock:
-                self._running[job.id] = process
             try:
                 while True:
                     try:
@@ -274,12 +351,39 @@ class JobWorkerPool:
                     self._running.pop(job.id, None)
                 self.on_event(job, ("exit", process.exitcode))
 
-    def shutdown(self, timeout=5.0):
-        """Stop accepting work and terminate any running job process."""
-        self._closed = True
+    def _start(self, job, payload):
+        """Fork the job's worker and register it, or ``(None, None)``
+        once shut down — atomically, so :meth:`shutdown` sees every
+        worker that starts."""
         with self._lock:
+            if self._closed:
+                return None, None
+            parent_conn, child_conn = _MP.Pipe(duplex=False)
+            try:
+                process = _MP.Process(
+                    target=_job_main, args=(child_conn, payload),
+                    name=f"serve-{job.id}",
+                )
+                process.start()
+            except BaseException:
+                parent_conn.close()
+                raise
+            finally:
+                child_conn.close()
+            self._running[job.id] = process
+        return process, parent_conn
+
+    def shutdown(self, timeout=5.0):
+        """Stop accepting work, end any running job process and all it
+        started, then stop and reap the forkserver."""
+        with self._lock:
+            self._closed = True
             running = list(self._running.values())
         for process in running:
-            process.terminate()
+            try:
+                os.killpg(process.pid, signal.SIGTERM)
+            except ProcessLookupError:      # not yet leading its group
+                process.terminate()
         for process in running:
             process.join(timeout=timeout)
+        stop_forkserver()

@@ -152,6 +152,9 @@ class SweepServer:
             self._handle_connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        # the forkserver imports the job stack while the server serves;
+        # launching it is one fork + exec
+        self.pool.start()
         return self
 
     async def serve_until_stopped(self):
@@ -476,17 +479,21 @@ class SweepServer:
         cursor = 0
         try:
             while True:
-                events = list(job.events)
-                for record in events[cursor:]:
+                # cleared before the read, so a change after it wakes us
+                event.clear()
+                # events and terminal flag from one snapshot: a job that
+                # ends after the read is seen on the next pass, with its
+                # terminal event
+                events, terminal = self.registry.events_since(job, cursor)
+                for record in events:
                     writer.write(
                         (json.dumps(record, sort_keys=True) + "\n")
                         .encode()
                     )
-                cursor = len(events)
+                cursor += len(events)
                 await writer.drain()
-                if job.terminal or self._stopping.is_set():
+                if terminal or self._stopping.is_set():
                     return
-                event.clear()
                 await event.wait()
         finally:
             waiters = self._waiters.get(job.id)

@@ -7,6 +7,7 @@ functional ISS against the cycle-accurate pipeline, and checks both against
 the golden reference.
 """
 
+import importlib
 from dataclasses import dataclass, field
 
 from repro.asm import assemble
@@ -87,25 +88,30 @@ def all_kernels():
 
 _LOADED = False
 
+#: The kernel modules under this package (each registers its kernels on
+#: import), plus the CoreMark-style composite.
+KERNEL_MODULES = (
+    "repro.workloads.kernels.bits",
+    "repro.workloads.kernels.crc",
+    "repro.workloads.kernels.fib",
+    "repro.workloads.kernels.gcd",
+    "repro.workloads.kernels.histogram",
+    "repro.workloads.kernels.matmult",
+    "repro.workloads.kernels.memops",
+    "repro.workloads.kernels.primes",
+    "repro.workloads.kernels.search",
+    "repro.workloads.kernels.signal",
+    "repro.workloads.kernels.sort",
+    "repro.workloads.kernels.statemachine",
+    "repro.workloads.coremark",
+)
+
 
 def _ensure_loaded():
     """Import all kernel modules (they register themselves)."""
     global _LOADED
     if _LOADED:
         return
-    from repro.workloads.kernels import (  # noqa: F401
-        bits,
-        crc,
-        fib,
-        gcd,
-        histogram,
-        matmult,
-        memops,
-        primes,
-        search,
-        signal,
-        sort,
-        statemachine,
-    )
-    from repro.workloads import coremark  # noqa: F401
+    for name in KERNEL_MODULES:
+        importlib.import_module(name)
     _LOADED = True

@@ -12,16 +12,19 @@ under that load:
 - gc never deletes an in-flight temp file out from under a writer (a
   writer's ``os.replace`` would raise ``FileNotFoundError``).
 
-Workers are spawned (not forked) — the same start method the service
-uses — so this also covers re-import + store attach in a fresh process.
+The stress runs under two start methods: ``spawn`` (re-import + store
+attach in a fresh interpreter) and the service's own preloaded
+forkserver (the start method its job workers use), started and reaped
+around the test.
 """
 
 import multiprocessing
 import pathlib
 
-from repro.lab.store import ArtifactStore
+import pytest
 
-_MP = multiprocessing.get_context("spawn")
+from repro.lab.store import ArtifactStore
+from repro.serve.pool import start_forkserver, stop_forkserver
 
 #: Artifact payload; big enough that writes take long enough to overlap
 #: with gc scans, small enough to keep the test quick.
@@ -66,21 +69,34 @@ def _collector(root, rounds, budget, errors):
         errors.put(f"gc: {type(error).__name__}: {error}")
 
 
-def test_concurrent_writers_readers_and_gc(tmp_path):
+@pytest.fixture(params=["spawn", "forkserver"])
+def mp_context(request):
+    if request.param == "forkserver":
+        start_forkserver()
+        try:
+            yield multiprocessing.get_context("forkserver")
+        finally:
+            stop_forkserver()
+    else:
+        yield multiprocessing.get_context("spawn")
+
+
+def test_concurrent_writers_readers_and_gc(tmp_path, mp_context):
     root = str(tmp_path / "store")
-    errors = _MP.Queue()
+    errors = mp_context.Queue()
     writers = 3
     budget = 64_000        # a handful of artifacts: gc evicts constantly
 
     processes = [
-        _MP.Process(target=_writer, args=(root, w, 40, errors))
+        mp_context.Process(target=_writer, args=(root, w, 40, errors))
         for w in range(writers)
     ] + [
-        _MP.Process(target=_reader, args=(root, r, 120, writers, errors))
+        mp_context.Process(target=_reader,
+                           args=(root, r, 120, writers, errors))
         for r in range(2)
     ] + [
-        _MP.Process(target=_collector, args=(root, 25, budget, errors)),
-        _MP.Process(target=_collector, args=(root, 25, budget, errors)),
+        mp_context.Process(target=_collector, args=(root, 25, budget, errors)),
+        mp_context.Process(target=_collector, args=(root, 25, budget, errors)),
     ]
     for process in processes:
         process.start()

@@ -2,22 +2,31 @@
 tenant budgets.
 
 Unit layers (no HTTP, no simulation): :class:`BoundedJobQueue`
-admission discipline and :class:`JobRegistry` dedup/cache precedence.
-Integration layer: a real :class:`SweepServer` on a loopback port with
-real worker processes — the dedup proof is the unified
-``serve.simulations`` counter (pipeline simulations actually run), and
-the cache proof is byte-identical result bodies with a zero simulation
-delta.
+admission discipline, :class:`JobRegistry` dedup/cache precedence and
+the event stream's terminal event.  Integration layer: a real
+:class:`SweepServer` on a loopback port with real worker processes —
+the dedup proof is the unified ``serve.simulations`` counter (pipeline
+simulations actually run), and the cache proof is byte-identical
+result bodies with a zero simulation delta.  The worker pool layer
+checks the forkserver the workers are forked from: its preload, crash
+isolation, shutdown and telemetry.
 """
 
+import asyncio
 import json
+import multiprocessing
+import os
+import pathlib
 import threading
+import time
 
 import pytest
 
 from repro.lab.jobqueue import BoundedJobQueue, QueueFull
 from repro.lab.store import ArtifactStore
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
+from repro.serve import pool as pool_module
 from repro.serve import (
     JobRegistry,
     ServeClient,
@@ -197,6 +206,61 @@ class TestJobRegistry:
         registry.complete(alice_job, frame_bytes=1)
         assert not store.frame_path(alice_job.result_name).exists()
         assert store.frame_path(bob_job.result_name).exists()
+
+
+class TestEventStream:
+    def test_job_ending_mid_drain_still_streams_terminal_event(
+            self, tmp_path):
+        """The job completes while the stream sits between reading the
+        events and draining them; the stream must still end with the
+        terminal event, written once."""
+        server = SweepServer(ServeConfig(store_root=tmp_path / "store",
+                                         port=0))
+        registry = server.registry
+        job, _, _ = registry.submit("sweep", "fp1", GRID, "alice")
+        registry.claim()
+        registry.progress(job, 0, 1)
+
+        class Writer:
+            def __init__(self):
+                self.data = b""
+                self.drains = 0
+
+            def write(self, data):
+                self.data += data
+
+            async def drain(self):
+                self.drains += 1
+                if self.drains == 1:
+                    registry.complete(job, simulations=1)
+
+        writer = Writer()
+
+        async def stream():
+            server._loop = asyncio.get_running_loop()
+            server._stopping = asyncio.Event()
+            await asyncio.wait_for(server._stream_events(job, writer), 10)
+
+        asyncio.run(stream())
+        body = writer.data.split(b"\r\n\r\n", 1)[1]
+        events = [json.loads(line) for line in body.splitlines()]
+        assert events == [
+            {"event": "progress", "done": 0, "total": 1},
+            {"event": "done", "cached": False},
+        ]
+
+    def test_events_since_reads_events_with_terminal_flag(self, tmp_path):
+        registry = JobRegistry(ArtifactStore(tmp_path / "store"))
+        job, _, _ = registry.submit("sweep", "fp1", GRID, "alice")
+        registry.claim()
+        registry.progress(job, 1, 2)
+        assert registry.events_since(job, 0) == (
+            [{"event": "progress", "done": 1, "total": 2}], False
+        )
+        registry.fail(job, "boom")
+        events, terminal = registry.events_since(job, 1)
+        assert terminal and events == [{"event": "failed",
+                                         "error": "boom"}]
 
 
 @pytest.fixture
@@ -401,3 +465,188 @@ class TestServeJsonContract:
         snapshot = client.status(job["id"])
         assert json.loads(json.dumps(snapshot)) == snapshot
         assert snapshot["grid"] == "serve-mini"
+
+
+def live_descendants(pid):
+    """Pids of the processes below ``pid`` that have not exited (read
+    from ``/proc``; an exited, unreaped process counts as gone)."""
+    parents = {}
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue                          # exited while we looked
+        if fields[0] not in ("Z", "X"):
+            parents[int(stat.parent.name)] = int(fields[1])
+    found, frontier = set(), {pid}
+    while frontier:
+        frontier = {child for child, parent in parents.items()
+                    if parent in frontier} - found
+        found |= frontier
+    return found
+
+
+def still_alive(pids):
+    alive = set()
+    for pid in pids:
+        try:
+            state = pathlib.Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            continue
+        if state.rsplit(")", 1)[1].split()[0] not in ("Z", "X"):
+            alive.add(pid)
+    return alive
+
+
+def capture_done_meta(server):
+    """Record the ``meta`` of every job's ``done`` message."""
+    metas = []
+    relay = server.pool.on_event
+
+    def spy(job, message):
+        if message[0] == "done":
+            metas.append(message[2])
+        relay(job, message)
+
+    server.pool.on_event = spy
+    return metas
+
+
+class _ExitOnFirstProgress:
+    """Pipe end that kills its worker right after the job's first
+    progress event reaches the server."""
+
+    def __init__(self, conn):
+        self.conn = conn
+
+    def send(self, message):
+        self.conn.send(message)
+        if message[0] == "progress":
+            os._exit(3)
+
+    def close(self):
+        self.conn.close()
+
+
+def _exit_mid_job(conn, payload):
+    """Worker entry point: the real job, dying in the middle of it."""
+    from repro.serve.pool import _job_main
+
+    _job_main(_ExitOnFirstProgress(conn), payload)
+
+
+class TestWorkerPool:
+    def test_sweep_worker_imports_nothing_beyond_the_preload(self, server):
+        """A cold sweep job in a forked worker imports no ``repro``
+        module: the forkserver preloaded all of them."""
+        srv, client = server
+        metas = capture_done_meta(srv)
+        job = client.submit(GRID, tenant="alice")
+        assert client.wait(job["id"], timeout=120)["state"] == "done"
+        assert len(metas) == 1
+        imported = [name for name in metas[0]["imported"]
+                    if name.split(".")[0] == "repro"]
+        assert imported == []
+
+    def test_worker_crash_fails_only_its_job(self, server, monkeypatch):
+        srv, client = server
+        monkeypatch.setattr(pool_module, "_job_main", _exit_mid_job)
+        crashed = client.wait(
+            client.submit(GRID, tenant="alice")["id"], timeout=120
+        )
+        assert crashed["state"] == "failed"
+        assert crashed["error"] == "worker process died (exit code 3)"
+        assert crashed["progress"]["done"] == 0   # it died mid-job
+        monkeypatch.undo()
+        done = client.wait(
+            client.submit(OTHER_GRID, tenant="alice")["id"], timeout=120
+        )
+        assert done["state"] == "done"
+        assert len(client.result(done["id"])) == 1
+
+    def test_worker_start_failure_fails_the_job(self, server, monkeypatch):
+        _, client = server
+
+        def no_worker(*args, **kwargs):
+            raise EOFError("forkserver gone")
+
+        monkeypatch.setattr(pool_module._MP, "Process", no_worker)
+        failed = client.wait(client.submit(GRID)["id"], timeout=120)
+        assert failed["state"] == "failed"
+        assert failed["error"] == (
+            "worker failed to start: EOFError('forkserver gone')"
+        )
+
+    def test_shutdown_reaps_workers_and_forkserver(self, tmp_path):
+        """Shutting down with a job in flight leaves no child process
+        and reaps the forkserver."""
+        server = SweepServer(ServeConfig(store_root=tmp_path / "store",
+                                         port=0, workers=1))
+        with server.running() as port:
+            forkserver_pid = pool_module.forkserver_pid()
+            os.kill(forkserver_pid, 0)            # running
+            client = ServeClient(f"http://127.0.0.1:{port}",
+                                 timeout=120.0)
+            done = client.wait(client.submit(GRID)["id"], timeout=120)
+            assert done["state"] == "done"
+            client.submit(OTHER_GRID)             # still running at exit
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ProcessLookupError):
+            os.kill(forkserver_pid, 0)
+        assert pool_module.forkserver_pid() is None
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_shutdown_ends_the_shard_pool_a_job_started(self, tmp_path):
+        """Shutting down mid-sweep also ends the shard pool the job's
+        worker started: nothing forked for the job outlives the
+        server."""
+        wide = {**GRID, "name": "serve-wide", "voltages": [0.7, 0.8],
+                "workloads": []}              # 2 x 18 units: shard pool
+        server = SweepServer(ServeConfig(store_root=tmp_path / "store",
+                                         port=0, workers=1,
+                                         sweep_jobs=2))
+        with server.running() as port:
+            client = ServeClient(f"http://127.0.0.1:{port}",
+                                 timeout=120.0)
+            job = client.submit(wide)
+            forkserver_pid = pool_module.forkserver_pid()
+            deadline = time.monotonic() + 60
+            # the worker, the forkserver it starts, its shard workers
+            while len(live_descendants(forkserver_pid)) < 3:
+                assert time.monotonic() < deadline, "no shard pool ran"
+                assert client.status(job["id"])["state"] == "running"
+                time.sleep(0.05)
+            started = live_descendants(forkserver_pid)
+        deadline = time.monotonic() + 10
+        while still_alive(started) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not still_alive(started)
+
+    def test_worker_spans_come_from_the_worker(self, tmp_path):
+        """Worker spans carry the worker's own pid in their
+        ``serve-worker-<pid>`` label, never the forkserver's, and none
+        predates the job."""
+        server = SweepServer(ServeConfig(store_root=tmp_path / "store",
+                                         port=0, workers=1,
+                                         telemetry=True))
+        previous = obs_trace.get_tracer()
+        try:
+            with server.running() as port:
+                client = ServeClient(f"http://127.0.0.1:{port}",
+                                     timeout=120.0)
+                forkserver_pid = pool_module.forkserver_pid()
+                submitted_us = time.time() * 1e6
+                job = client.submit(GRID, tenant="alice")
+                assert client.wait(job["id"], timeout=120)["state"] \
+                    == "done"
+            spans = server.tracer.snapshot()
+        finally:
+            obs_trace.set_tracer(previous)
+        workers = [span for span in spans
+                   if span["worker"].startswith("serve-worker-")]
+        assert workers, "no worker spans reached the server"
+        for span in workers:
+            assert span["worker"] == f"serve-worker-{span['pid']}"
+            assert span["pid"] not in (forkserver_pid, os.getpid())
+            assert span["start_us"] >= submitted_us
+        assert all(span["pid"] != forkserver_pid for span in spans)
