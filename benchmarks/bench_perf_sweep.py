@@ -9,8 +9,14 @@ root (CI artifact, tracked PR over PR):
 - **warm**: same store again — must re-simulate *nothing* (the store hit
   counters and the engine's simulation counter prove it);
 - **serial-sim / parallel-sim**: traces evicted, LUT warm — the same
-  simulation-bound workload serially and with ``--jobs 2``, which is the
-  parallel-speedup measurement.
+  simulation-bound workload serially and with ``--jobs 2``.  Its 18
+  units fall under ``PARALLEL_MIN_UNITS``, so ``parallel_speedup``
+  compares two in-process runs (``parallel_fallback`` says so);
+- **specs serial / parallel**: fresh-process ``repro sweep`` runs of
+  ``examples/grids/specs.json`` (3 pipeline specs x 8 kernels = 24
+  units) from a cold store, ``--jobs 1`` and ``--jobs 2`` alternating —
+  a grid on which the worker pool really runs, characterisation
+  included (``specs_*`` fields, medians of the pairs).
 
 Every run's merged rows must be bit-identical to the serial in-process
 ``evaluate_batch`` reference (independently characterised, no store).
@@ -24,6 +30,8 @@ import json
 import os
 import pathlib
 import shutil
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -42,7 +50,14 @@ from repro.obs.host import host_metadata  # noqa: E402
 from repro.sim import lockstep, predecode  # noqa: E402
 from repro.utils.tables import format_table  # noqa: E402
 
-BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_sweep.json"
+ROOT = pathlib.Path(__file__).parent.parent
+BENCH_JSON = ROOT / "BENCH_sweep.json"
+
+#: Cold multi-spec grid on which a ``--jobs 2`` sweep runs its pool.
+SPECS_GRID = ROOT / "examples" / "grids" / "specs.json"
+
+#: Alternating ``--jobs 1`` / ``--jobs 2`` pairs of the specs grid.
+SPECS_PAIRS = 3
 
 #: PR 2's shipped cold-sweep wall time (scalar pipeline simulator +
 #: record-path characterisation, single process) — the baseline the
@@ -104,6 +119,56 @@ def _available_cores():
         return len(os.sched_getaffinity(0))
     except AttributeError:                           # pragma: no cover
         return os.cpu_count() or 1
+
+
+def _cli_sweep(jobs, out_path):
+    """Wall seconds of one fresh-process sweep of :data:`SPECS_GRID`
+    into an empty store; the JSON document lands in ``out_path``."""
+    store = tempfile.mkdtemp(prefix="repro-bench-specs-")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    try:
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--grid",
+             str(SPECS_GRID), "--store", store, "--jobs", str(jobs),
+             "--json", str(out_path)],
+            check=True, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        return time.perf_counter() - start
+    finally:
+        shutil.rmtree(store, ignore_errors=True)
+
+
+def _specs_benchmark():
+    """Cold ``--jobs 1`` vs ``--jobs 2`` on a grid the pool really runs."""
+    with tempfile.TemporaryDirectory(prefix="repro-bench-specs-") as work:
+        serial_json = pathlib.Path(work) / "serial.json"
+        parallel_json = pathlib.Path(work) / "parallel.json"
+        serial = []
+        parallel = []
+        for _ in range(SPECS_PAIRS):
+            serial.append(_cli_sweep(1, serial_json))
+            parallel.append(_cli_sweep(2, parallel_json))
+        serial_doc = json.loads(serial_json.read_text())
+        parallel_doc = json.loads(parallel_json.read_text())
+    serial_seconds = statistics.median(serial)
+    parallel_seconds = statistics.median(parallel)
+    return {
+        "specs_units": parallel_doc["units"]["total"],
+        "specs_parallel_fallback": parallel_doc["parallel_fallback"],
+        "specs_rows_identical": (
+            parallel_doc["results"] == serial_doc["results"]
+        ),
+        "specs_serial_seconds": round(serial_seconds, 3),
+        "specs_parallel_seconds": round(parallel_seconds, 3),
+        "specs_parallel_speedup": round(
+            serial_seconds / parallel_seconds, 2
+        ),
+    }
 
 
 def _lockstep_benchmark():
@@ -205,6 +270,7 @@ def run_sweep_comparison(store_root=None):
         warm_stats = warm.store_stats
         return {
             **_lockstep_benchmark(),
+            **_specs_benchmark(),
             "decode_seconds": round(decode_stats["decode_seconds"], 4),
             "iss_seconds": round(decode_stats["iss_seconds"], 4),
             "parallel_fallback": parallel.parallel_fallback,
@@ -254,6 +320,14 @@ def report(metrics):
              ("in-process fallback (small run)"
               if metrics["parallel_fallback"]
               else f"{metrics['parallel_speedup']:.2f}x vs. serial")),
+            ("specs grid cold, jobs=1 (CLI)",
+             f"{metrics['specs_serial_seconds']:.2f} s",
+             f"{metrics['specs_units']} units, fresh process"),
+            ("specs grid cold, jobs=2 (CLI)",
+             f"{metrics['specs_parallel_seconds']:.2f} s",
+             ("in-process fallback (small run)"
+              if metrics["specs_parallel_fallback"]
+              else f"{metrics['specs_parallel_speedup']:.2f}x vs. serial")),
             ("lockstep ISS batch",
              f"{metrics['lockstep_batch_lanes']} lanes",
              f"{metrics['lockstep_programs_per_second']:.0f} prog/s "

@@ -15,18 +15,18 @@ Two engines produce bit-identical results:
   per-event analysis, per-record extraction.
 
 Characterisation shards: each program's gate-sim batch is independent, so
-``jobs > 1`` fans the suite out over worker processes, and per-program
-LUTs can be cached in an :class:`~repro.lab.store.ArtifactStore`
-(``store=``) so an interrupted characterisation resumes by recomputing
-only the missing batches.  The merge happens in canonical suite order
-regardless of completion order — the merged LUT is bit-identical to the
-serial in-process result.
+``jobs > 1`` fans the suite out, one program per task, over a
+:class:`~repro.lab.jobqueue.ShardPool` whose workers are the sweep
+runner's (:func:`repro.lab.runner.characterize_on_pool`), and
+per-program LUTs can be cached in an
+:class:`~repro.lab.store.ArtifactStore` (``store=``) so an interrupted
+characterisation resumes by recomputing only the missing batches.  The
+merge happens in canonical suite order regardless of completion order —
+the merged LUT is bit-identical to the serial in-process result.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import span as obs_span
 from repro.dta.analyzer import analyze_event_log
@@ -147,49 +147,14 @@ def _cached_program_lut(program, design, min_occurrences, sim_period_ps,
     return lut, num_cycles
 
 
-def _shard_worker(payload):
-    """Pool entry point: characterise one program in a worker process.
-
-    Returns the worker-side store counters and an observability payload
-    (counter deltas + spans when the parent traces), so the parent's
-    stats and telemetry reflect sharded activity exactly like a serial
-    run's."""
-    (index, program, variant_value, voltage, spec_dict, min_occurrences,
-     sim_period_ps, engine, store_root, telemetry) = payload
-    from repro.sim.spec import PipelineSpec
-    from repro.timing.design import build_design
-    from repro.timing.profiles import DesignVariant
-
-    if telemetry:
-        # always a fresh per-worker tracer: under fork the child inherits
-        # the parent's, and recording onto it would mislabel worker spans
-        import os
-
-        obs_trace.set_tracer(obs_trace.Tracer(label=f"worker-{os.getpid()}"))
-    baseline = obs_metrics.gather()
-
-    design = build_design(
-        DesignVariant(variant_value), voltage=voltage,
-        pipeline_spec=(
-            PipelineSpec.from_dict(spec_dict)
-            if spec_dict is not None else None
-        ),
-    )
-    store = None
-    if store_root is not None:
-        from repro.lab.store import ArtifactStore
-
-        store = ArtifactStore(store_root)
-    lut, num_cycles = _cached_program_lut(
-        program, design, min_occurrences, sim_period_ps, engine, store
-    )
-    stats = store.stats.as_dict() if store is not None else None
-    tracer = obs_trace.get_tracer()
-    obs = {
-        "counters": obs_metrics.delta_since(baseline),
-        "spans": tracer.drain() if tracer is not None else [],
-    }
-    return index, lut.to_json(), num_cycles, stats, obs
+def _merge_program_luts(luts, cycle_counts):
+    """Merge per-program LUTs given in canonical suite order; returns
+    ``(merged, total_cycles)`` — bit-identical however the batches ran."""
+    total_cycles = sum(cycle_counts)
+    with obs_span("characterize.merge", programs=len(luts)):
+        merged = merge_luts(luts)
+    merged.source = f"{len(luts)} programs / {total_cycles} cycles"
+    return merged, total_cycles
 
 
 def _characterize_impl(design, programs=None,
@@ -227,67 +192,52 @@ def _characterize_impl(design, programs=None,
         are read from / written through its ``charlut`` cache, so a killed
         characterisation recomputes only the missing batches.
     """
-    if programs is None:
-        programs = characterization_suite()
-    programs = list(programs)
+    if programs is not None:
+        programs = list(programs)
     jobs = max(1, int(jobs))
     if jobs > 1 and keep_runs:
         raise ValueError(
             "sharded characterisation (jobs > 1) cannot keep per-run "
             "artefacts; pass keep_runs=False"
         )
-
-    runs = []
-    luts = [None] * len(programs)
-    cycle_counts = [0] * len(programs)
-
-    if jobs > 1 and len(programs) > 1:
-        from repro.dta.lut import DelayLUT
+    if jobs > 1 and (programs is None or len(programs) > 1):
+        from repro.lab.jobqueue import ShardPool
+        from repro.lab.runner import _worker_init, characterize_on_pool
 
         store_root = str(store.root) if store is not None else None
-        telemetry = obs_trace.is_enabled()
-        spec = design.pipeline_spec
-        spec_dict = None if spec.is_default else spec.to_dict()
-        payloads = [
-            (index, program, design.variant.value, design.library.voltage,
-             spec_dict, min_occurrences, sim_period_ps, engine, store_root,
-             telemetry)
-            for index, program in enumerate(programs)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(programs))
-        ) as pool:
-            for index, lut_json, num_cycles, stats, obs in pool.map(
-                _shard_worker, payloads
-            ):
-                luts[index] = DelayLUT.from_json(lut_json)
-                cycle_counts[index] = num_cycles
-                if store is not None and stats is not None:
-                    store.stats.merge(stats)
-                obs_metrics.merge(obs["counters"])
-                obs_trace.merge_worker_spans(obs["spans"])
-    else:
-        for index, program in enumerate(programs):
-            if keep_runs:
-                lut, num_cycles, run = characterize_program(
-                    program, design, min_occurrences=min_occurrences,
-                    sim_period_ps=sim_period_ps, engine=engine,
-                    keep_run=True,
-                )
-                runs.append(run)
-            else:
-                lut, num_cycles = _cached_program_lut(
-                    program, design, min_occurrences, sim_period_ps,
-                    engine, store,
-                )
-            luts[index] = lut
-            cycle_counts[index] = num_cycles
+        with ShardPool(jobs, initializer=_worker_init,
+                       initargs=(None, store_root, "vector",
+                                 obs_trace.is_enabled(), True)) as pool:
+            [(luts, cycle_counts)] = characterize_on_pool(
+                pool, [design], programs, store=store,
+                min_occurrences=min_occurrences,
+                sim_period_ps=sim_period_ps, engine=engine,
+            )
+        merged, total_cycles = _merge_program_luts(luts, cycle_counts)
+        return CharacterizationResult(
+            design=design, lut=merged, total_cycles=total_cycles
+        )
 
-    total_cycles = sum(cycle_counts)
-    # canonical suite-order merge: bit-identical however the batches ran
-    with obs_span("characterize.merge", programs=len(programs)):
-        merged = merge_luts(luts)
-    merged.source = f"{len(programs)} programs / {total_cycles} cycles"
+    if programs is None:
+        programs = characterization_suite()
+    runs = []
+    luts = []
+    cycle_counts = []
+    for program in programs:
+        if keep_runs:
+            lut, num_cycles, run = characterize_program(
+                program, design, min_occurrences=min_occurrences,
+                sim_period_ps=sim_period_ps, engine=engine, keep_run=True,
+            )
+            runs.append(run)
+        else:
+            lut, num_cycles = _cached_program_lut(
+                program, design, min_occurrences, sim_period_ps, engine,
+                store,
+            )
+        luts.append(lut)
+        cycle_counts.append(num_cycles)
+    merged, total_cycles = _merge_program_luts(luts, cycle_counts)
     return CharacterizationResult(
         design=design, lut=merged, runs=runs, total_cycles=total_cycles
     )

@@ -3,14 +3,14 @@
 Two building blocks shared by :class:`~repro.lab.runner.SweepRunner`
 and the multi-tenant sweep service (:mod:`repro.serve`):
 
-- :class:`ShardPool` — fan picklable tasks out to a
+- :class:`ShardPool` — fan picklable tasks out to one
   ``ProcessPoolExecutor`` and stream results back as they complete.
-  This is the shard engine that used to live inline in
-  ``SweepRunner._run_parallel``; the runner now consumes it, and any
-  other orchestrator (the sweep service's per-job workers, future batch
-  frontends) gets the same pool discipline — worker initialisation,
+  The sweep runner runs both phases of a ``--jobs N`` sweep on one
+  (characterisation, then the units), and ``_characterize_impl(jobs>1)``
+  runs its per-program batches on one, so the package starts its worker
+  processes in one place with one discipline — worker initialisation,
   worker-count capping, completion-order streaming, eager error
-  propagation — without re-implementing it.
+  propagation.
 - :class:`BoundedJobQueue` — a thread-safe bounded FIFO with
   fingerprint-keyed deduplication.  The admission-control half of the
   service: submitting a key already queued or running returns the
@@ -31,13 +31,22 @@ __all__ = ["BoundedJobQueue", "QueueFull", "ShardPool"]
 
 
 class ShardPool:
-    """Stream task results from a process pool in completion order.
+    """Stream task results from one process pool in completion order.
+
+    The workers start on the first :meth:`run` that has tasks and serve
+    every later call, so a caller that runs several phases forks once
+    and its workers keep their in-process caches (decoded programs,
+    ISS results, built designs) from one phase to the next.  Forking
+    inside :meth:`run` also keeps the workers' start-up inside the call
+    that waits for them.  Use the pool as a context manager: leaving the
+    block shuts the workers down.
 
     Parameters
     ----------
     jobs:
         Maximum worker processes; the pool is additionally capped at the
-        task count, so tiny batches never spawn idle workers.
+        first call's task count, so tiny batches never spawn idle
+        workers.
     initializer / initargs:
         Per-worker-process initialisation (e.g. attach the shared
         artifact store), exactly as ``ProcessPoolExecutor`` takes them.
@@ -47,26 +56,43 @@ class ShardPool:
         self.jobs = max(1, int(jobs))
         self.initializer = initializer
         self.initargs = initargs
+        self._executor = None
 
     def run(self, fn, tasks):
         """Yield ``fn(task)`` results as workers finish them.
 
-        The generator owns the pool: exhausting it (or closing it on an
-        error) shuts the executor down.  A task that raises re-raises
-        here on first observation — remaining futures are cancelled by
-        the executor's shutdown.
+        A task that raises re-raises here on first observation; closing
+        the generator early (an error in the caller's loop) cancels the
+        tasks that have not started.
         """
         tasks = list(tasks)
         if not tasks:
             return
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(tasks)),
-            initializer=self.initializer,
-            initargs=self.initargs,
-        ) as pool:
-            futures = [pool.submit(fn, task) for task in tasks]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(tasks)),
+                initializer=self.initializer,
+                initargs=self.initargs,
+            )
+        futures = [self._executor.submit(fn, task) for task in tasks]
+        try:
             for future in as_completed(futures):
                 yield future.result()
+        finally:
+            for future in futures:
+                future.cancel()
+
+    def close(self):
+        """Shut the workers down (idempotent)."""
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 class QueueFull(Exception):

@@ -4,14 +4,20 @@ A :class:`SweepRunner` executes a :class:`~repro.lab.scenario.ScenarioGrid`
 as a stream of *work units* — one per (design point, workload) — through
 the compiled-trace batch engine:
 
-- **sharding**: units are independent, so ``jobs > 1`` fans them out over
-  a ``ProcessPoolExecutor``; every worker attaches the shared artifact
-  store, so pipeline simulation and characterisation happen at most once
-  per artifact *across the whole fleet* (first toucher writes, everyone
-  else reads);
-- **store warming**: the parent characterises each design point's LUT
-  into the store up front, so workers never duplicate the most expensive
-  step;
+- **sharding**: ``jobs > 1`` runs the whole op on one
+  :class:`~repro.lab.jobqueue.ShardPool`, sharded by program rather than
+  by design point.  A task is a chunk of workloads with every design
+  point, so a worker assembles, decodes and ISS-runs each program once
+  and only reconstructs its pipeline per spec; every worker attaches the
+  shared artifact store, so pipeline simulation happens at most once per
+  artifact *across the whole fleet* (first toucher writes, everyone else
+  reads);
+- **characterisation first**: before any unit runs, the parent reads
+  each design point's LUT from the store or characterises the missing
+  ones — on the same pool, one task per characterisation program for
+  every missing point (:func:`characterize_on_pool`) — and saves them
+  back.  Unit tasks carry the merged LUTs, so a worker never
+  characterises, with or without a store;
 - **deterministic merge**: results are reassembled in canonical
   (design point, config, workload) order regardless of completion order,
   and each row is produced by exactly the same array math as the serial
@@ -33,6 +39,7 @@ the compiled-trace batch engine:
 (:meth:`SweepRunner._execute`) directly.
 """
 
+import contextlib
 import json
 import os
 import pathlib
@@ -40,6 +47,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.api.frame import EVALUATION_SCHEMA, ResultFrame
+from repro.dta.extraction import DEFAULT_MIN_OCCURRENCES
+from repro.dta.lut import DelayLUT
 from repro.lab.jobqueue import ShardPool
 from repro.lab.scenario import ScenarioGrid
 from repro.lab.store import ArtifactStore, StoreStats
@@ -86,9 +95,13 @@ def result_to_dict(result, design_point, spec):
 # -- worker side -------------------------------------------------------------
 #
 # Workers are initialised once per process (grid + store attachment) and
-# then cache one evaluation context — design, characterised DCA, concrete
-# SweepConfigs — per design point, so a worker that receives many units
-# of the same operating point builds it once.
+# then serve both phases of a sweep: characterisation tasks (one program
+# for every design point lacking a LUT) and unit tasks (a chunk of
+# workloads for every design point, with each point's merged LUT).  A
+# worker caches one evaluation context — design, DCA, concrete
+# SweepConfigs — per design point, and its decode/ISS caches are keyed by
+# program content, so a program is decoded and ISS-run once per worker
+# whatever the number of pipeline specs.
 
 _WORKER = {}
 
@@ -98,20 +111,22 @@ def _worker_init(grid_dict, store_root, engine="vector", telemetry=False,
     from repro.dta.compiled import set_trace_store, simulation_count
 
     if telemetry:
-        # subprocess shard of a traced sweep: record spans locally and
-        # ship them back with each result batch (the parent merges them
-        # onto its timeline as a per-worker track).  Always a fresh
-        # tracer — under fork the child inherits the parent's, and
-        # recording onto it would mislabel worker spans as the parent's.
+        # subprocess shard of a traced run: record spans locally and
+        # ship them back with each result (the parent merges them onto
+        # its timeline as a per-worker track).  Always a fresh tracer —
+        # under fork the child inherits the parent's, and recording onto
+        # it would mislabel worker spans as the parent's.
         obs_trace.set_tracer(obs_trace.Tracer(label=f"worker-{os.getpid()}"))
     store = ArtifactStore(store_root) if store_root else None
     previous = set_trace_store(store) if store is not None else None
     _WORKER.clear()
     _WORKER.update(
-        grid=ScenarioGrid.from_dict(grid_dict),
+        grid=(ScenarioGrid.from_dict(grid_dict)
+              if grid_dict is not None else None),
         store=store,
         previous_store=previous,
         engine=engine,
+        luts={},
         contexts={},
         # baseline, not reset: simulations run before this sweep (other
         # tests, fork-inherited counters) must not be attributed to it
@@ -135,69 +150,14 @@ def _worker_teardown():
     _WORKER.clear()
 
 
-def _context_for(design_point):
-    context = _WORKER["contexts"].get(design_point)
-    if context is not None:
-        return context
+def _counters():
+    """``(store_stats, simulations, obs)`` accrued since the last call.
 
-    from repro.core import DcaConfig, DynamicClockAdjustment
-    from repro.flow.characterize import (
-        CharacterizationResult,
-        _characterize_impl,
-    )
-
-    design = design_point.build()
-    store = _WORKER["store"]
-    if store is not None:
-        lut = store.get_lut(design)
-    else:
-        lut = _characterize_impl(design, keep_runs=False).lut
-    dca = DynamicClockAdjustment(
-        config=DcaConfig(variant=design.variant,
-                         voltage=design_point.voltage),
-        characterization=CharacterizationResult(design=design, lut=lut),
-    )
-    specs = _WORKER["grid"].config_specs()
-    configs = [spec.make(dca) for spec in specs]
-    context = (design, specs, configs)
-    _WORKER["contexts"][design_point] = context
-    return context
-
-
-def _run_units(design_point, workloads):
-    """Evaluate a batch of same-design-point units against every config.
-
-    One :func:`~repro.flow.evaluate._evaluate_batch` call covers every
-    workload in the batch — under the ``lockstep`` engine the uncached
-    programs share a single batched ISS pass; under ``vector`` the batch
-    degenerates to the per-program loop and is bit-identical to running
-    units one at a time.  Returns ``(rows_per_unit, store_stats_delta,
-    simulations_delta, obs_delta)`` — counters are snapshotted per batch
-    so the parent can aggregate them across any number of workers;
-    ``obs_delta`` is ``None`` except in subprocess shards, where it
-    carries the worker's registry counter deltas and span buffer.
-    """
+    Snapshotted per task so the parent can aggregate them across any
+    number of workers; ``obs`` is ``None`` except in subprocess shards,
+    where it carries the worker's registry counter deltas and spans."""
     from repro.dta.compiled import simulation_count
-    from repro.flow.evaluate import _evaluate_batch
-    from repro.workloads import resolve_program
 
-    grid = _WORKER["grid"]
-    with obs_span("sweep.unit_batch", design_point=str(design_point.key),
-                  units=len(workloads)):
-        design, specs, configs = _context_for(design_point)
-        programs = [resolve_program(workload) for workload in workloads]
-        grid_results = _evaluate_batch(
-            [program for program in programs], design, configs,
-            max_cycles=grid.max_cycles,
-            engine=_WORKER.get("engine", "vector"),
-        )
-        rows_per_unit = [
-            [
-                result_to_dict(config_row[position], design_point, spec)
-                for spec, config_row in zip(specs, grid_results)
-            ]
-            for position in range(len(programs))
-        ]
     store = _WORKER["store"]
     stats = store.stats.as_dict() if store is not None else None
     if store is not None:
@@ -213,29 +173,167 @@ def _run_units(design_point, workloads):
             "spans": tracer.drain() if tracer is not None else [],
         }
         _WORKER["obs_baseline"] = obs_metrics.gather()
-    return rows_per_unit, stats, simulations, obs
+    return stats, simulations, obs
 
 
-def _run_unit(design_point, workload):
-    """Single-unit wrapper over :func:`_run_units`."""
-    rows_per_unit, stats, simulations, _ = _run_units(
-        design_point, [workload]
+def _design_ref(design):
+    """Picklable reference a worker rebuilds ``design`` from (designs
+    are cached per process, so a rebuild is a dictionary lookup)."""
+    spec = design.pipeline_spec
+    return (design.variant.value, design.library.voltage,
+            None if spec.is_default else spec.to_dict())
+
+
+def _design_from_ref(ref):
+    from repro.sim.spec import PipelineSpec
+    from repro.timing.design import build_design
+
+    variant, voltage, spec_dict = ref
+    return build_design(
+        variant, voltage=voltage,
+        pipeline_spec=(PipelineSpec.from_dict(spec_dict)
+                       if spec_dict is not None else None),
     )
-    return rows_per_unit[0], stats, simulations
+
+
+def _characterize_task(payload):
+    """Pool entry point: characterise one program for every design.
+
+    ``program`` is an index into the default characterisation suite
+    (the worker builds it; nothing is pickled) or a :class:`Program`.
+    Each batch goes through the store's ``charlut`` cache when a store
+    is attached."""
+    from repro.flow.characterize import _cached_program_lut
+    from repro.workloads.suite import characterization_program
+
+    index, program, design_refs, options = payload
+    if isinstance(program, int):
+        program = characterization_program(program)
+    luts = []
+    for ref in design_refs:
+        lut, num_cycles = _cached_program_lut(
+            program, _design_from_ref(ref), *options, _WORKER["store"]
+        )
+        luts.append((lut.to_json(), num_cycles))
+    return (index, luts, *_counters())
+
+
+def _context_for(design_point):
+    context = _WORKER["contexts"].get(design_point)
+    if context is not None:
+        return context
+
+    from repro.core import DcaConfig, DynamicClockAdjustment
+    from repro.flow.characterize import CharacterizationResult
+
+    design = design_point.build()
+    dca = DynamicClockAdjustment(
+        config=DcaConfig(variant=design.variant,
+                         voltage=design_point.voltage),
+        characterization=CharacterizationResult(
+            design=design, lut=_WORKER["luts"][design_point]
+        ),
+    )
+    specs = _WORKER["grid"].config_specs()
+    configs = [spec.make(dca) for spec in specs]
+    context = (design, specs, configs)
+    _WORKER["contexts"][design_point] = context
+    return context
+
+
+def _unit_rows(design_point, workloads):
+    """Rows of a batch of same-design-point units, one list per unit.
+
+    One :func:`~repro.flow.evaluate._evaluate_batch` call covers every
+    workload in the batch — under the ``lockstep`` engine the uncached
+    programs share a single batched ISS pass; under ``vector`` the batch
+    degenerates to the per-program loop and is bit-identical to running
+    units one at a time.
+    """
+    from repro.flow.evaluate import _evaluate_batch
+    from repro.workloads import resolve_program
+
+    grid = _WORKER["grid"]
+    with obs_span("sweep.unit_batch", design_point=str(design_point.key),
+                  units=len(workloads)):
+        design, specs, configs = _context_for(design_point)
+        programs = [resolve_program(workload) for workload in workloads]
+        grid_results = _evaluate_batch(
+            programs, design, configs, max_cycles=grid.max_cycles,
+            engine=_WORKER.get("engine", "vector"),
+        )
+        return [
+            [
+                result_to_dict(config_row[position], design_point, spec)
+                for spec, config_row in zip(specs, grid_results)
+            ]
+            for position in range(len(programs))
+        ]
 
 
 def _run_units_task(payload):
-    """Pool entry point: payload is
-    ``(design_point, [(unit_id, workload), ...])``."""
-    design_point, units = payload
-    rows_per_unit, stats, simulations, obs = _run_units(
-        design_point, [workload for _, workload in units]
-    )
-    unit_rows = [
-        (unit_id, rows)
-        for (unit_id, _), rows in zip(units, rows_per_unit)
-    ]
-    return unit_rows, stats, simulations, obs
+    """Pool entry point: payload is ``(units, luts)`` — canonical
+    ``(unit_id, design_point, workload)`` triples of a chunk of workloads
+    and the merged LUT JSON of each design point they touch.  The units
+    are evaluated one design point at a time."""
+    units, luts = payload
+    unit_rows = []
+    for point, text in luts.items():
+        if point not in _WORKER["luts"]:
+            _WORKER["luts"][point] = DelayLUT.from_json(text)
+        group = [(unit_id, workload)
+                 for unit_id, unit_point, workload in units
+                 if unit_point == point]
+        rows_per_unit = _unit_rows(point, [w for _, w in group])
+        unit_rows.extend(
+            (unit_id, rows)
+            for (unit_id, _), rows in zip(group, rows_per_unit)
+        )
+    return (unit_rows, *_counters())
+
+
+def characterize_on_pool(pool, designs, programs=None, store=None,
+                         min_occurrences=DEFAULT_MIN_OCCURRENCES,
+                         sim_period_ps=None, engine="array"):
+    """Characterise ``designs`` on ``pool``, sharded by program.
+
+    Each task is one program (``programs``, or the default suite built
+    in the workers from its index) characterised for every design, so a
+    program is built, decoded and ISS-run once per op.  Returns one
+    ``(luts, cycle_counts)`` pair per design, the per-program lists in
+    canonical suite order, ready for
+    :func:`repro.flow.characterize._merge_program_luts`.  Worker store
+    counters merge into ``store.stats`` and worker telemetry into this
+    process's registry and timeline, as a serial run's would land.
+    """
+    from repro.workloads.suite import CHARACTERIZATION_SUITE_SIZE
+
+    if programs is None:
+        programs = range(CHARACTERIZATION_SUITE_SIZE)
+    refs = [_design_ref(design) for design in designs]
+    options = (min_occurrences, sim_period_ps, engine)
+    tasks = [(index, program, refs, options)
+             for index, program in enumerate(programs)]
+    luts = [[None] * len(tasks) for _ in designs]
+    cycle_counts = [[0] * len(tasks) for _ in designs]
+    for index, per_design, stats, _, obs in pool.run(_characterize_task,
+                                                     tasks):
+        for slot, (text, num_cycles) in enumerate(per_design):
+            luts[slot][index] = DelayLUT.from_json(text)
+            cycle_counts[slot][index] = num_cycles
+        if store is not None and stats is not None:
+            store.stats.merge(stats)
+        _merge_obs(obs)
+    return list(zip(luts, cycle_counts))
+
+
+def _merge_obs(obs):
+    """Fold a subprocess shard's counter deltas into this process's
+    registry (the historical fix for counters vanishing in --jobs N
+    runs) and its spans onto the timeline."""
+    if obs is not None:
+        obs_metrics.merge(obs["counters"])
+        obs_trace.merge_worker_spans(obs["spans"])
 
 
 # -- parent side -------------------------------------------------------------
@@ -351,9 +449,10 @@ class SweepRunner:
         compiled traces) or ``"lockstep"`` (uncached programs of a unit
         batch share one batched ISS pass; bit-identical rows).
     parallel_threshold:
-        Minimum pending-unit count before ``jobs > 1`` actually spins up
-        a process pool; below it the run falls back in-process (pool
-        startup dominates small runs).  Defaults to
+        Minimum pending-unit count before ``jobs > 1`` runs the units on
+        the process pool; below it they run in-process (pool startup
+        dominates small runs), and only LUTs missing from the store are
+        characterised on the pool.  Defaults to
         :data:`PARALLEL_MIN_UNITS`; pass ``0`` to force the pool.
     """
 
@@ -450,22 +549,56 @@ class SweepRunner:
 
     # -- execution -----------------------------------------------------------
 
-    def warm_luts(self):
-        """Characterise every design point's LUT into the store up front,
-        so parallel workers never duplicate gate-level simulation.
+    @property
+    def _store_root(self):
+        return str(self.store.root) if self.store is not None else None
 
-        Characterisation itself is sharded over the runner's worker count:
-        each program's gate-sim batch lands in the store's per-program
-        ``charlut`` cache and the merged LUT is assembled in canonical
-        suite order, so the result is bit-identical to a serial
-        characterisation — and a killed warm-up resumes by recomputing
-        only the missing batches."""
-        if self.store is None:
-            return
-        with obs_span("sweep.warm_luts",
-                      design_points=len(self.grid.design_points())):
-            for point in self.grid.design_points():
-                self.store.get_lut(point.build(), jobs=self.jobs)
+    def _design_luts(self, points, pool=None):
+        """Merged LUT of each design point, read from the store or
+        characterised (and saved back) when it is missing.
+
+        With a ``pool`` the missing points are characterised together,
+        one task per characterisation program
+        (:func:`characterize_on_pool`); without one, point by point in
+        this process.  Either way each program's batch goes through the
+        store's ``charlut`` cache and the merge runs in canonical suite
+        order, so the LUTs — and the files saved — are bit-identical to
+        :meth:`ArtifactStore.get_lut`."""
+        from repro.flow.characterize import (
+            _characterize_impl,
+            _merge_program_luts,
+        )
+
+        store = self.store
+        designs = {point: point.build() for point in points}
+        luts = {}
+        if store is not None:
+            for point, design in designs.items():
+                lut = store.load_lut(design)
+                if lut is not None:
+                    luts[point] = lut
+        missing = [point for point in points if point not in luts]
+        if not missing:
+            return luts
+        with obs_span("sweep.characterize", design_points=len(missing)):
+            if pool is None:
+                for point in missing:
+                    luts[point] = _characterize_impl(
+                        designs[point], keep_runs=False, store=store
+                    ).lut
+            else:
+                shards = characterize_on_pool(
+                    pool, [designs[point] for point in missing],
+                    store=store,
+                )
+                for point, (program_luts, cycle_counts) in zip(missing,
+                                                               shards):
+                    luts[point], _ = _merge_program_luts(program_luts,
+                                                         cycle_counts)
+            if store is not None:
+                for point in missing:
+                    store.save_lut(luts[point], designs[point])
+        return luts
 
     def run(self, resume=False, progress=None):
         """Execute the grid; returns a :class:`SweepRunResult`.
@@ -526,36 +659,42 @@ class SweepRunner:
         if on_unit:
             on_unit(resumed, len(units))
 
-        self.warm_luts()
-        if stats is not None:
-            stats.merge(self.store.stats)
-            self.store.stats.reset()
+        # one pool for the whole op: it forks on its first task, so a
+        # run whose LUTs are stored and whose units run in-process never
+        # starts a worker
+        pool = None
+        if self.jobs > 1:
+            pool = ShardPool(
+                self.jobs, initializer=_worker_init,
+                initargs=(self.grid.to_dict(), self._store_root, self.engine,
+                          obs_trace.is_enabled(), True),
+            )
+        with pool or contextlib.nullcontext():
+            points = list(dict.fromkeys(point for _, point, _ in pending))
+            luts = self._design_luts(points, pool)
+            if stats is not None:
+                stats.merge(self.store.stats)
+                self.store.stats.reset()
 
-        if pending:
-            done_state = {"done": resumed, "total": len(units)}
+            if pending:
+                done_state = {"done": resumed, "total": len(units)}
 
-            def unit_done():
-                done_state["done"] += 1
-                if on_unit:
-                    on_unit(done_state["done"], done_state["total"])
+                def unit_done():
+                    done_state["done"] += 1
+                    if on_unit:
+                        on_unit(done_state["done"], done_state["total"])
 
-            if jobs_effective == 1:
-                outcomes = self._run_serial(pending, completed, progress,
-                                            unit_done)
-            else:
-                outcomes = self._run_parallel(pending, completed, progress,
-                                              jobs_effective, unit_done)
-            for unit_stats, unit_simulations, obs in outcomes:
-                if stats is not None and unit_stats is not None:
-                    stats.merge(unit_stats)
-                simulations += unit_simulations
-                if obs is not None:
-                    # subprocess shard: fold the worker's counter deltas
-                    # into the parent registry (the historical fix for
-                    # counters vanishing in --jobs N sweeps) and its
-                    # spans onto the parent timeline
-                    obs_metrics.merge(obs["counters"])
-                    obs_trace.merge_worker_spans(obs["spans"])
+                if jobs_effective == 1:
+                    outcomes = self._run_serial(pending, luts, completed,
+                                                progress, unit_done)
+                else:
+                    outcomes = self._run_parallel(pending, luts, completed,
+                                                  progress, pool, unit_done)
+                for unit_stats, unit_simulations, obs in outcomes:
+                    if stats is not None and unit_stats is not None:
+                        stats.merge(unit_stats)
+                    simulations += unit_simulations
+                    _merge_obs(obs)
 
         with obs_span("sweep.merge", units=len(units)):
             rows = self._merge(completed)
@@ -583,64 +722,60 @@ class SweepRunner:
                 self.store.gc(max_bytes=self.store_budget_bytes)
         return result
 
-    @staticmethod
-    def _grouped(pending):
-        """Group pending units by design point, preserving canonical
-        order (``units()`` is design-point-major, so groups are runs)."""
+    def _checkpoint(self, completed, unit_rows, progress, unit_done):
+        for unit_id, rows in unit_rows:
+            self._checkpoint_unit(completed, unit_id, rows)
+            if progress:
+                progress(f"  done {unit_id}")
+            unit_done()
+
+    def _run_serial(self, pending, luts, completed, progress, unit_done):
+        """Units in this process, one design point at a time (``units()``
+        is design-point-major, so each point's units are one run)."""
+        _worker_init(self.grid.to_dict(), self._store_root, self.engine)
+        _WORKER["luts"] = luts
         groups = []
         for unit_id, point, workload in pending:
-            if groups and groups[-1][0] == point:
-                groups[-1][1].append((unit_id, workload))
-            else:
-                groups.append((point, [(unit_id, workload)]))
-        return groups
-
-    def _run_serial(self, pending, completed, progress, unit_done=None):
-        store_root = str(self.store.root) if self.store is not None else None
-        _worker_init(self.grid.to_dict(), store_root, self.engine)
+            if not groups or groups[-1][0] != point:
+                groups.append((point, []))
+            groups[-1][1].append((unit_id, workload))
         outcomes = []
         try:
-            for point, group in self._grouped(pending):
-                rows_per_unit, unit_stats, unit_simulations, obs = (
-                    _run_units(point, [workload for _, workload in group])
+            for point, group in groups:
+                rows_per_unit = _unit_rows(point, [w for _, w in group])
+                outcomes.append(_counters())
+                self._checkpoint(
+                    completed,
+                    [(unit_id, rows) for (unit_id, _), rows
+                     in zip(group, rows_per_unit)],
+                    progress, unit_done,
                 )
-                outcomes.append((unit_stats, unit_simulations, obs))
-                for (unit_id, _), rows in zip(group, rows_per_unit):
-                    self._checkpoint_unit(completed, unit_id, rows)
-                    if progress:
-                        progress(f"  done {unit_id}")
-                    if unit_done:
-                        unit_done()
         finally:
             _worker_teardown()
         return outcomes
 
-    def _run_parallel(self, pending, completed, progress, jobs,
-                      unit_done=None):
-        store_root = str(self.store.root) if self.store is not None else None
-        # shard each design point's units into ~jobs batches, so every
-        # worker gets one batched ISS pass per (design point, shard)
+    def _run_parallel(self, pending, luts, completed, progress, pool,
+                      unit_done):
+        """Units on ``pool``, sharded by workload: each task is a chunk of
+        workloads with every design point, so a worker assembles, decodes
+        and ISS-runs each of its programs once and only re-runs the
+        pipeline reconstruction per design point."""
+        by_workload = {}
+        for unit in pending:
+            by_workload.setdefault(unit[2], []).append(unit)
+        workloads = list(by_workload)
+        chunk = max(1, -(-len(workloads) // pool.jobs))
+        texts = {point: lut.to_json() for point, lut in luts.items()}
         tasks = []
-        for point, group in self._grouped(pending):
-            chunk = max(1, -(-len(group) // jobs))
-            for index in range(0, len(group), chunk):
-                tasks.append((point, group[index:index + chunk]))
-        pool = ShardPool(
-            jobs,
-            initializer=_worker_init,
-            initargs=(self.grid.to_dict(), store_root, self.engine,
-                      obs_trace.is_enabled(), True),
-        )
+        for index in range(0, len(workloads), chunk):
+            units = [unit for workload in workloads[index:index + chunk]
+                     for unit in by_workload[workload]]
+            points = dict.fromkeys(point for _, point, _ in units)
+            tasks.append((units, {point: texts[point] for point in points}))
         outcomes = []
-        for unit_rows, unit_stats, unit_simulations, obs in pool.run(
-                _run_units_task, tasks):
-            outcomes.append((unit_stats, unit_simulations, obs))
-            for unit_id, rows in unit_rows:
-                self._checkpoint_unit(completed, unit_id, rows)
-                if progress:
-                    progress(f"  done {unit_id}")
-                if unit_done:
-                    unit_done()
+        for unit_rows, *counters in pool.run(_run_units_task, tasks):
+            outcomes.append(counters)
+            self._checkpoint(completed, unit_rows, progress, unit_done)
         return outcomes
 
     def _merge(self, completed):

@@ -15,6 +15,7 @@ kernels with the same instruction-mix characteristics (see DESIGN.md):
 - :mod:`repro.workloads.suite` — named suites used by the benches.
 """
 
+import functools
 import pathlib
 
 from repro.workloads.kernels import Kernel, all_kernels, get_kernel
@@ -41,9 +42,12 @@ def resolve_program(spec):
     raise :class:`WorkloadError` with the list of bundled kernels, so
     front ends (CLI, scenario grids) can report a friendly error instead
     of a raw traceback.
-    """
-    from repro.asm import assemble
 
+    Assembly files are assembled once per process and text: a sweep
+    resolves each workload once per design point.  Like
+    :meth:`Kernel.program`, the returned :class:`Program` is shared, so
+    callers must not mutate it.
+    """
     path = pathlib.Path(spec)
     if path.suffix in (".s", ".asm") or path.exists():
         if not path.is_file():
@@ -51,7 +55,7 @@ def resolve_program(spec):
                 f"assembly file not found: {spec!r}\n"
                 f"(bundled kernels: {', '.join(_kernel_names())})"
             )
-        return assemble(path.read_text(), name=path.stem)
+        return _assemble_file(path.stem, path.read_text())
     try:
         return get_kernel(spec).program()
     except KeyError:
@@ -60,6 +64,13 @@ def resolve_program(spec):
             f"(bundled kernels: {', '.join(_kernel_names())}; "
             f"or pass a path to a .s/.asm file)"
         ) from None
+
+
+@functools.lru_cache(maxsize=256)
+def _assemble_file(stem, text):
+    from repro.asm import assemble
+
+    return assemble(text, name=stem)
 
 
 def _kernel_names():

@@ -57,23 +57,42 @@ CHARACTERIZATION_KERNELS = (
 )
 
 
-def characterization_suite(seed=1, random_programs=2, length=1200,
-                           repeats=3):
+#: Directed semi-random programs at the head of the characterisation suite.
+CHARACTERIZATION_RANDOM_PROGRAMS = 2
+
+#: Programs in the default characterisation suite.
+CHARACTERIZATION_SUITE_SIZE = (
+    CHARACTERIZATION_RANDOM_PROGRAMS + len(CHARACTERIZATION_KERNELS)
+)
+
+
+def characterization_program(index, seed=1,
+                             random_programs=CHARACTERIZATION_RANDOM_PROGRAMS,
+                             length=1200, repeats=3):
+    """Program ``index`` of :func:`characterization_suite` (same
+    arguments), built on its own: a shard worker builds only the
+    programs it characterises."""
+    if index < random_programs:
+        return generate_characterization_program(
+            seed=seed + index, length=length, repeats=repeats
+        )
+    kernel = CHARACTERIZATION_KERNELS[index - random_programs]
+    return get_kernel(kernel).program()
+
+
+def characterization_suite(seed=1,
+                           random_programs=CHARACTERIZATION_RANDOM_PROGRAMS,
+                           length=1200, repeats=3):
     """Programs for the characterisation flow (paper Sec. II-B.2).
 
     A mix of hand kernels and directed semi-random programs; the random
     programs guarantee worst-case pattern coverage for every class.
     """
-    programs = [
-        generate_characterization_program(
-            seed=seed + index, length=length, repeats=repeats
-        )
-        for index in range(random_programs)
+    return [
+        characterization_program(index, seed, random_programs, length,
+                                 repeats)
+        for index in range(random_programs + len(CHARACTERIZATION_KERNELS))
     ]
-    programs.extend(
-        get_kernel(name).program() for name in CHARACTERIZATION_KERNELS
-    )
-    return programs
 
 
 def kernel_table():

@@ -1,6 +1,8 @@
 """Sweep runner: serial/parallel equivalence, store warming, resume."""
 
 import json
+import os
+import time
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.dta.compiled import (
     reset_simulation_count,
 )
 from repro.lab import ArtifactStore, ScenarioGrid, SweepRunner
+from repro.lab.jobqueue import ShardPool
 
 #: Small but non-trivial grid: 2 configs x 2 programs, safety checked.
 GRID = ScenarioGrid(
@@ -294,6 +297,110 @@ class TestShardedCharacterization:
 
         with pytest.raises(ValueError, match="keep_runs"):
             characterize(design, jobs=2, keep_runs=True)
+
+
+class TestShardedSweep:
+    """A ``--jobs N`` sweep runs on one worker pool, sharded by program:
+    characterisation tasks first (one program for every design point),
+    then chunks of workloads with every design point and its LUT."""
+
+    SPECS = ("baseline6", "shallow5", "deep7")
+
+    def _grid(self, tmp_path, specs=SPECS):
+        from repro.workloads import get_kernel
+
+        paths = []
+        for stem, kernel in (("first", "crc16"), ("second", "countbits")):
+            path = tmp_path / f"{stem}.s"
+            path.write_text(get_kernel(kernel).source)
+            paths.append(str(path))
+        return ScenarioGrid(
+            name="sharded", policies=("instruction", "genie"),
+            pipeline_specs=specs, workloads=(*paths, "fib"),
+            check_safety=True,
+        )
+
+    @staticmethod
+    def _files(store, namespace):
+        return {
+            path.name: path.read_bytes()
+            for path in sorted((store.root / namespace).glob("*.json"))
+        }
+
+    def test_parallel_matches_serial_from_cold_store(self, tmp_path):
+        grid = self._grid(tmp_path)
+        runs = {}
+        for jobs in (1, 2):
+            clear_compiled_cache()
+            store = ArtifactStore(tmp_path / f"store-{jobs}")
+            result = SweepRunner(grid, store=store, jobs=jobs,
+                                 parallel_threshold=0).run()
+            runs[jobs] = (result, store)
+        (serial, serial_store), (parallel, parallel_store) = (
+            runs[1], runs[2]
+        )
+        assert parallel.jobs_effective == 2
+        assert not parallel.parallel_fallback
+        assert parallel.rows == serial.rows
+        assert len(parallel.rows) == 3 * 2 * 3
+        luts = self._files(parallel_store, "luts")
+        assert len(luts) == 3
+        assert luts == self._files(serial_store, "luts")
+        writes = parallel.store_stats.get("charlut", "writes")
+        assert writes == serial.store_stats.get("charlut", "writes") == 21
+
+    def test_storeless_sweep_characterises_each_program_once(self,
+                                                             tmp_path):
+        """Without a store the parent characterises on the pool and
+        hands every worker the merged LUTs: 7 programs x 2 design
+        points, and no unit task characterises again."""
+        from repro.obs import trace as obs_trace
+
+        grid = self._grid(tmp_path, specs=self.SPECS[:2])
+        tracer = obs_trace.Tracer()
+        previous = obs_trace.set_tracer(tracer)
+        try:
+            result = SweepRunner(grid, store=None, jobs=2).run()
+        finally:
+            obs_trace.set_tracer(previous)
+        assert result.jobs_effective == 2
+        programs = [span for span in tracer.spans
+                    if span["span"] == "characterize.program"]
+        assert len(programs) == 7 * 2
+        assert all(span["worker"].startswith("worker-") for span in programs)
+
+
+def _worker_pid(_task):
+    time.sleep(0.05)        # long enough for both workers to take tasks
+    return os.getpid()
+
+
+class TestShardPool:
+    def test_workers_serve_every_run_until_closed(self):
+        """The pool forks once: every ``run`` is served by the same two
+        workers (a pool per run would show up to four pids)."""
+        with ShardPool(2) as pool:
+            pids = set(pool.run(_worker_pid, range(4)))
+            pids |= set(pool.run(_worker_pid, range(4)))
+        assert os.getpid() not in pids
+        assert len(pids) <= 2
+        assert pool._executor is None
+
+
+class TestResolveProgram:
+    def test_assembly_file_memoised_on_its_text(self, tmp_path):
+        from repro.workloads import get_kernel, resolve_program
+
+        path = tmp_path / "kernel.s"
+        path.write_text(get_kernel("fib").source)
+        first = resolve_program(str(path))
+        assert resolve_program(str(path)) is first
+        assert first.name == "kernel"
+
+        path.write_text(get_kernel("crc16").source)
+        changed = resolve_program(str(path))
+        assert changed is not first
+        assert changed.words != first.words
 
 
 class TestStoreBudget:
